@@ -319,7 +319,16 @@ func TestClusterReadRepairsCorruptReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// WriteBlock returns at W=2 while the third replica's write finishes
+	// in the background. Arm the damage only once the victim holds the
+	// write: a straggler landing after the first damaged read would heal
+	// the slot by itself, the repair's recheck would rightly skip, and
+	// ReadRepairs would never move.
 	victim := nodes[0]
+	waitFor(t, 5*time.Second, "the write to land on the victim", func() bool {
+		got, _, status := readNodeSlot(t, victim.addr, b)
+		return status == slotOK && bytes.Equal(got, data)
+	})
 	victim.fis[0].FlipStoredBits(0, 4)
 
 	// Every read must return the exact data: the corrupt replica can

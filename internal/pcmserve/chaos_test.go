@@ -580,7 +580,7 @@ func TestWireCRCKillsConnTyped(t *testing.T) {
 	cliSide, srvSide := net.Pipe()
 	go func() {
 		defer srvSide.Close()
-		req, err := readFrame(srvSide, DefaultMaxFrame)
+		req, err := readFrameBytes(srvSide, DefaultMaxFrame)
 		if err != nil {
 			return
 		}
@@ -588,7 +588,7 @@ func TestWireCRCKillsConnTyped(t *testing.T) {
 		if err != nil {
 			return
 		}
-		resp := frame(r.id, StatusOK, make([]byte, 64))
+		resp := respBytes(response{id: r.id, status: StatusOK, payload: make([]byte, 64)})
 		resp[len(resp)-1] ^= 0x40 // body bit flips in flight; CRC is stale
 		srvSide.Write(resp)
 	}()

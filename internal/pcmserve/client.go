@@ -96,15 +96,15 @@ func NewClient(conn net.Conn) *Client {
 	return c
 }
 
-// reqExt builds the extended header for one request, or nil when the
-// peer latched legacy. The deadline field carries the budget REMAINING
-// at send time in µs (the server restarts the clock at receipt, so
-// one-way latency eats into the budget exactly once).
-func (c *Client) reqExt(ctx context.Context) *wireExt {
+// reqExt builds the extended header for one request (ext false when
+// the peer latched legacy). The deadline field carries the budget
+// REMAINING at send time in µs (the server restarts the clock at
+// receipt, so one-way latency eats into the budget exactly once).
+func (c *Client) reqExt(ctx context.Context) wireExt {
 	if c.legacy.Load() {
-		return nil
+		return wireExt{}
 	}
-	e := &wireExt{}
+	e := wireExt{ext: true}
 	if IsBackground(ctx) {
 		e.class = classBackground
 	}
@@ -121,14 +121,19 @@ func (c *Client) reqExt(ctx context.Context) *wireExt {
 	return e
 }
 
-// roundTripExt is roundTrip plus the legacy-downgrade probe: a peer
-// predating the extended header answers a flagged op with a generic
-// "unknown op" error and closes the connection. The latch flips, the
-// typed failure invalidates the connection upstream, and the retry
-// lands with legacy framing.
-func (c *Client) roundTripExt(ctx context.Context, id uint64, reqFrame []byte, ext *wireExt) (response, error) {
-	resp, err := c.roundTrip(ctx, id, reqFrame)
-	if err != nil && ext != nil {
+// call stamps req with a fresh id, the context's trace and the extended
+// header, and runs the round trip, plus the legacy-downgrade probe: a
+// peer predating the extended header answers a flagged op with a
+// generic "unknown op" error and closes the connection. The latch
+// flips, the typed failure invalidates the connection upstream, and the
+// retry lands with legacy framing. The caller owns the returned
+// response and must release it.
+func (c *Client) call(ctx context.Context, req *request) (response, error) {
+	req.id = c.nextID.Add(1)
+	req.trace = obs.TraceFromContext(ctx)
+	req.wireExt = c.reqExt(ctx)
+	resp, err := c.roundTrip(ctx, req)
+	if err != nil && req.ext {
 		var re *RemoteError
 		if errors.As(err, &re) && re.Code == CodeGeneric && strings.Contains(re.Msg, "unknown op") {
 			c.legacy.Store(true)
@@ -160,22 +165,26 @@ func (c *Client) readLoop() {
 	defer close(c.readerDone)
 	br := bufio.NewReader(c.conn)
 	for {
-		buf, err := readFrame(br, DefaultMaxFrame)
+		body, fb, err := readFrame(br, DefaultMaxFrame)
 		if err != nil {
 			c.fail(err)
 			return
 		}
-		resp, err := parseResponse(buf)
+		resp, err := parseResponse(body)
 		if err != nil {
+			fb.release()
 			c.fail(err)
 			return
 		}
+		resp.buf = fb
 		c.pmu.Lock()
 		ch, ok := c.pending[resp.id]
 		delete(c.pending, resp.id)
 		c.pmu.Unlock()
 		if ok {
-			ch <- resp
+			ch <- resp // the frame buffer now belongs to the waiter
+		} else {
+			resp.release() // abandoned call: nobody will read it
 		}
 	}
 }
@@ -221,31 +230,43 @@ func (c *Client) Close() error {
 	return err
 }
 
-// roundTrip sends one encoded request frame and waits for its response,
-// abandoning the wait (but not the server-side work) when ctx ends.
-func (c *Client) roundTrip(ctx context.Context, id uint64, reqFrame []byte) (response, error) {
-	ch := make(chan response, 1)
+// waiterPool recycles the one-slot channels calls wait on. A channel
+// goes back only from the normal completion path — its single reply
+// received, its pending entry already deleted by the reader, so no one
+// else can hold it. A call abandoned by its context never recycles: the
+// reader may already have picked the channel up and a late reply
+// parked in it would reach whichever call drew it next. Channels closed
+// by fail are dead and dropped too.
+var waiterPool = sync.Pool{New: func() any { return make(chan response, 1) }}
+
+// roundTrip encodes req straight into the connection's write buffer
+// and waits for its response, abandoning the wait (but not the
+// server-side work) when ctx ends. On success the caller owns the
+// response's buffer; on error there is nothing to release.
+func (c *Client) roundTrip(ctx context.Context, req *request) (response, error) {
+	ch := waiterPool.Get().(chan response)
 	c.pmu.Lock()
 	if c.err != nil || c.closed {
 		err := c.err
 		c.pmu.Unlock()
+		waiterPool.Put(ch) // never registered
 		if err == nil {
 			err = ErrClosed
 		}
 		return response{}, err
 	}
-	c.pending[id] = ch
+	c.pending[req.id] = ch
 	c.pmu.Unlock()
 
 	c.wmu.Lock()
-	_, werr := c.bw.Write(reqFrame)
+	werr := writeRequest(c.bw, req)
 	if werr == nil {
 		werr = c.bw.Flush()
 	}
 	c.wmu.Unlock()
 	if werr != nil {
 		c.pmu.Lock()
-		delete(c.pending, id)
+		delete(c.pending, req.id)
 		c.pmu.Unlock()
 		return response{}, fmt.Errorf("pcmserve: send: %w", werr)
 	}
@@ -258,17 +279,20 @@ func (c *Client) roundTrip(ctx context.Context, id uint64, reqFrame []byte) (res
 			c.pmu.Unlock()
 			return response{}, err
 		}
+		waiterPool.Put(ch)
 		if resp.status == StatusErr {
-			return resp, decodeWireError(resp.payload)
+			err := decodeWireError(resp.payload)
+			resp.release()
+			return response{}, err
 		}
 		return resp, nil
 	case <-ctx.Done():
 		// Unregister so the late response (if any) is dropped; the
 		// request may still execute server-side.
 		c.pmu.Lock()
-		delete(c.pending, id)
+		delete(c.pending, req.id)
 		c.pmu.Unlock()
-		return response{}, fmt.Errorf("pcmserve: request %d abandoned: %w", id, ctx.Err())
+		return response{}, fmt.Errorf("pcmserve: request %d abandoned: %w", req.id, ctx.Err())
 	}
 }
 
@@ -287,27 +311,28 @@ func (c *Client) ReadAt(p []byte, off int64) (int, error) {
 // internal/obs rides the request frames to the server, where it keys
 // span records, the sampled trace log, and flight-recorder entries.
 func (c *Client) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
-	trace := obs.TraceFromContext(ctx)
 	n := 0
 	for n < len(p) {
 		chunk := len(p) - n
 		if chunk > maxChunk {
 			chunk = maxChunk
 		}
-		id := c.nextID.Add(1)
-		ext := c.reqExt(ctx)
-		resp, err := c.roundTripExt(ctx, id, encodeReadReq(id, trace, ext, off+int64(n), uint32(chunk)), ext)
+		req := request{op: OpRead, off: off + int64(n), n: uint32(chunk)}
+		resp, err := c.call(ctx, &req)
 		if err != nil {
 			return n, err
 		}
-		if len(resp.payload) > chunk {
-			return n, fmt.Errorf("pcmserve: server returned %d bytes for a %d-byte read", len(resp.payload), chunk)
+		got, status := len(resp.payload), resp.status
+		if got > chunk {
+			resp.release()
+			return n, fmt.Errorf("pcmserve: server returned %d bytes for a %d-byte read", got, chunk)
 		}
 		n += copy(p[n:], resp.payload)
-		if resp.status == StatusEOF {
+		resp.release() // copied out; the frame buffer goes back to the pool
+		if status == StatusEOF {
 			return n, io.EOF
 		}
-		if len(resp.payload) < chunk {
+		if got < chunk {
 			return n, io.ErrUnexpectedEOF
 		}
 	}
@@ -331,27 +356,29 @@ func (c *Client) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, erro
 	if len(p) == 0 {
 		return 0, nil
 	}
-	trace := obs.TraceFromContext(ctx)
 	n := 0
 	for n < len(p) {
-		ext := c.reqExt(ctx)
+		// The latch only ever flips to legacy, so a frame sized without
+		// headroom can never pick the extended header up afterwards.
 		limit := maxChunk
-		if ext != nil {
+		if !c.legacy.Load() {
 			limit = maxChunk - 64 // leave room for the extended header
 		}
 		chunk := len(p) - n
 		if chunk > limit {
 			chunk = limit
 		}
-		id := c.nextID.Add(1)
-		resp, err := c.roundTripExt(ctx, id, encodeWriteReq(id, trace, ext, off+int64(n), p[n:n+chunk]), ext)
+		req := request{op: OpWrite, off: off + int64(n), data: p[n : n+chunk]}
+		resp, err := c.call(ctx, &req)
 		if err != nil {
 			return n, err
 		}
 		if len(resp.payload) != 4 {
+			resp.release()
 			return n, fmt.Errorf("pcmserve: malformed WRITE response (%d bytes)", len(resp.payload))
 		}
 		wrote := int(binary.BigEndian.Uint32(resp.payload))
+		resp.release()
 		n += wrote
 		if wrote < chunk {
 			return n, io.ErrShortWrite
@@ -386,14 +413,13 @@ func (c *Client) HashRangeCtx(ctx context.Context, off int64, recordBytes, count
 		return nil, fmt.Errorf("pcmserve: HashRange covers %d bytes, limit %d",
 			int64(recordBytes)*int64(count), maxRangeBytes)
 	}
-	id := c.nextID.Add(1)
-	ext := c.reqExt(ctx)
-	req := encodeHashRangeReq(id, obs.TraceFromContext(ctx), ext, off,
-		uint32(recordBytes), uint32(count), uint32(fanout))
-	resp, err := c.roundTripExt(ctx, id, req, ext)
+	req := request{op: OpHashRange, off: off,
+		recordBytes: uint32(recordBytes), count: uint32(count), fanout: uint32(fanout)}
+	resp, err := c.call(ctx, &req)
 	if err != nil {
 		return nil, err
 	}
+	defer resp.release()
 	if len(resp.payload) == 0 || len(resp.payload)%13 != 0 {
 		return nil, fmt.Errorf("pcmserve: malformed HASH_RANGE response (%d bytes)", len(resp.payload))
 	}
@@ -428,19 +454,21 @@ func (c *Client) ReadStrideCtx(ctx context.Context, off int64, stride, recordByt
 		return nil, fmt.Errorf("pcmserve: ReadStride reply %d bytes exceeds frame budget",
 			int64(count)+int64(count)*int64(recordBytes))
 	}
-	id := c.nextID.Add(1)
-	ext := c.reqExt(ctx)
-	req := encodeReadStrideReq(id, obs.TraceFromContext(ctx), ext, off,
-		uint32(stride), uint32(recordBytes), uint32(count))
-	resp, err := c.roundTripExt(ctx, id, req, ext)
+	req := request{op: OpReadStride, off: off,
+		stride: uint32(stride), recordBytes: uint32(recordBytes), count: uint32(count)}
+	resp, err := c.call(ctx, &req)
 	if err != nil {
 		return nil, err
 	}
+	defer resp.release()
 	want := count + count*recordBytes
 	if len(resp.payload) != want {
 		return nil, fmt.Errorf("pcmserve: malformed READ_STRIDE response (%d bytes, want %d)", len(resp.payload), want)
 	}
-	flags, records := resp.payload[:count], resp.payload[count:]
+	// The returned records outlive this call, and the reply's frame
+	// buffer is about to be recycled: copy them out of it.
+	flags := resp.payload[:count]
+	records := append([]byte(nil), resp.payload[count:]...)
 	out := make([][]byte, count)
 	for i := 0; i < count; i++ {
 		if flags[i] != 0 {
@@ -461,9 +489,9 @@ func (c *Client) Advance(dt float64) error {
 
 // AdvanceCtx is Advance under a caller context.
 func (c *Client) AdvanceCtx(ctx context.Context, dt float64) error {
-	id := c.nextID.Add(1)
-	ext := c.reqExt(ctx)
-	_, err := c.roundTripExt(ctx, id, encodeAdvanceReq(id, obs.TraceFromContext(ctx), ext, dt), ext)
+	req := request{op: OpAdvance, dt: dt}
+	resp, err := c.call(ctx, &req)
+	resp.release()
 	return err
 }
 
@@ -476,12 +504,12 @@ func (c *Client) Stats() (Stats, error) {
 
 // StatsCtx is Stats under a caller context.
 func (c *Client) StatsCtx(ctx context.Context) (Stats, error) {
-	id := c.nextID.Add(1)
-	ext := c.reqExt(ctx)
-	resp, err := c.roundTripExt(ctx, id, encodeStatsReq(id, obs.TraceFromContext(ctx), ext), ext)
+	req := request{op: OpStats}
+	resp, err := c.call(ctx, &req)
 	if err != nil {
 		return Stats{}, err
 	}
+	defer resp.release()
 	var st Stats
 	if err := json.Unmarshal(resp.payload, &st); err != nil {
 		return Stats{}, fmt.Errorf("pcmserve: decoding STATS response: %w", err)

@@ -140,7 +140,7 @@ func TestErrFrameRoundTrip(t *testing.T) {
 		{errors.New("some bounds violation"), CodeGeneric, nil},
 	}
 	for _, tc := range cases {
-		fr := errFrame(42, tc.err)
+		fr := respBytes(errResponse(42, tc.err))
 		resp, err := parseResponse(fr[8:])
 		if err != nil {
 			t.Fatalf("parseResponse: %v", err)

@@ -165,21 +165,21 @@ func errCode(err error) uint8 {
 	return CodeGeneric
 }
 
-// errFrame encodes a StatusErr response: one code byte, then the
+// errResponse builds a StatusErr response: one code byte, then the
 // message. CodeOverloaded inserts a uint32 retry-after hint (µs)
 // between the code and the message.
-func errFrame(id uint64, err error) []byte {
+func errResponse(id uint64, err error) response {
 	code := errCode(err)
+	msg := err.Error()
+	payload := append(make([]byte, 0, 1+4+len(msg)), code)
 	if code == CodeOverloaded {
 		us := uint64(RetryAfter(err) / time.Microsecond)
 		if us > uint64(^uint32(0)) {
 			us = uint64(^uint32(0))
 		}
-		var hint [4]byte
-		binary.BigEndian.PutUint32(hint[:], uint32(us))
-		return frame(id, StatusErr, []byte{code}, hint[:], []byte(err.Error()))
+		payload = binary.BigEndian.AppendUint32(payload, uint32(us))
 	}
-	return frame(id, StatusErr, []byte{code}, []byte(err.Error()))
+	return response{id: id, status: StatusErr, payload: append(payload, msg...)}
 }
 
 // decodeWireError rebuilds the typed error from a StatusErr payload.

@@ -1,6 +1,7 @@
 package pcmserve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -17,15 +18,15 @@ import (
 // and backs the checked-in corpus under testdata/fuzz/FuzzDecodeFrame.
 func fuzzSeeds() [][]byte {
 	seeds := [][]byte{
-		encodeReadReq(1, 0xABCD, nil, 128, 64),
-		encodeWriteReq(2, 0, nil, 64, bytes.Repeat([]byte{0x5A}, 64)),
-		encodeAdvanceReq(3, 7, nil, 0.5),
-		encodeStatsReq(4, 0, nil),
-		frame(5, StatusOK, bytes.Repeat([]byte{0x11}, 32)),
-		errFrame(6, errors.New("some failure")),
+		reqBytes(request{id: 1, op: OpRead, trace: 0xABCD, off: 128, n: 64}),
+		reqBytes(request{id: 2, op: OpWrite, off: 64, data: bytes.Repeat([]byte{0x5A}, 64)}),
+		reqBytes(request{id: 3, op: OpAdvance, trace: 7, dt: 0.5}),
+		reqBytes(request{id: 4, op: OpStats}),
+		respBytes(response{id: 5, status: StatusOK, payload: bytes.Repeat([]byte{0x11}, 32)}),
+		respBytes(errResponse(6, errors.New("some failure"))),
 	}
 	// Truncated mid-header and mid-body.
-	full := encodeReadReq(7, 0, nil, 0, 16)
+	full := reqBytes(request{id: 7, op: OpRead, n: 16})
 	seeds = append(seeds, full[:3], full[:9], full[:len(full)-2])
 	// Corrupted CRC word and corrupted body.
 	badCRC := append([]byte(nil), full...)
@@ -43,16 +44,16 @@ func fuzzSeeds() [][]byte {
 	// Vectored anti-entropy ops (appended so the mutant indices above
 	// stay stable).
 	seeds = append(seeds,
-		encodeHashRangeReq(11, 0, nil, 160, 80, 1024, 8),
-		encodeReadStrideReq(12, 0xFEED, nil, 64, 80, 16, 34),
+		reqBytes(request{id: 11, op: OpHashRange, off: 160, recordBytes: 80, count: 1024, fanout: 8}),
+		reqBytes(request{id: 12, op: OpReadStride, trace: 0xFEED, off: 64, stride: 80, recordBytes: 16, count: 34}),
 	)
 	// Extended-header requests: deadline budget + admission class after
 	// the trace word, flagged in the op byte. One truncated mid-ext.
 	seeds = append(seeds,
-		encodeReadReq(13, 5, &wireExt{deadlineUs: 1500, class: classBackground}, 128, 64),
-		encodeWriteReq(14, 0, &wireExt{}, 64, bytes.Repeat([]byte{0x7C}, 64)),
+		reqBytes(request{id: 13, op: OpRead, trace: 5, wireExt: wireExt{ext: true, deadlineUs: 1500, class: classBackground}, off: 128, n: 64}),
+		reqBytes(request{id: 14, op: OpWrite, wireExt: wireExt{ext: true}, off: 64, data: bytes.Repeat([]byte{0x7C}, 64)}),
 	)
-	extFull := encodeReadReq(15, 0, &wireExt{deadlineUs: 9}, 0, 16)
+	extFull := reqBytes(request{id: 15, op: OpRead, wireExt: wireExt{ext: true, deadlineUs: 9}, n: 16})
 	seeds = append(seeds, extFull[:len(extFull)-extHeaderBytes-9])
 	return seeds
 }
@@ -65,17 +66,21 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		buf, err := readFrame(bytes.NewReader(data), DefaultMaxFrame)
+		buf, fb, err := readFrame(bufio.NewReader(bytes.NewReader(data)), DefaultMaxFrame)
 		if err != nil {
 			// Rejected input must carry a diagnosable cause: either the
 			// typed CRC sentinel or an I/O/length error.
-			if buf != nil {
+			if buf != nil || fb != nil {
 				t.Fatal("readFrame returned a buffer alongside an error")
 			}
 			return
 		}
+		defer fb.release()
 		if len(buf) < headerBytes {
 			t.Fatalf("readFrame accepted a %d-byte frame below header size", len(buf))
+		}
+		if (fb != nil) != (len(buf) <= frameBufBytes) {
+			t.Fatalf("%d-byte body: pooled buffer = %v", len(buf), fb != nil)
 		}
 		// Responses have no op-specific validation beyond the header, so
 		// any CRC-valid frame must parse as one without error or panic.
@@ -88,28 +93,12 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		// A frame that parses as a request must re-encode to the exact
 		// bytes read off the wire (the codec is canonical).
-		var ext *wireExt
-		if req.ext {
-			ext = &wireExt{deadlineUs: req.deadlineUs, class: req.class}
-		}
-		var re []byte
 		switch req.op {
-		case OpRead:
-			re = encodeReadReq(req.id, req.trace, ext, req.off, req.n)
-		case OpWrite:
-			re = encodeWriteReq(req.id, req.trace, ext, req.off, req.data)
-		case OpAdvance:
-			re = encodeAdvanceReq(req.id, req.trace, ext, req.dt)
-		case OpStats:
-			re = encodeStatsReq(req.id, req.trace, ext)
-		case OpHashRange:
-			re = encodeHashRangeReq(req.id, req.trace, ext, req.off, req.recordBytes, req.count, req.fanout)
-		case OpReadStride:
-			re = encodeReadStrideReq(req.id, req.trace, ext, req.off, req.stride, req.recordBytes, req.count)
+		case OpRead, OpWrite, OpAdvance, OpStats, OpHashRange, OpReadStride:
 		default:
 			t.Fatalf("parseRequest accepted unknown op %d", req.op)
 		}
-		if !bytes.Equal(re[8:], buf) {
+		if re := reqBytes(req); !bytes.Equal(re[8:], buf) {
 			// NaN float bit patterns are the one legitimate asymmetry:
 			// Float64frombits/Float64bits round-trip every pattern, so
 			// inequality here is a real codec bug.
@@ -146,12 +135,12 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 func TestFuzzSeedsStillParse(t *testing.T) {
 	seeds := fuzzSeeds()
 	for i := 0; i < 6; i++ {
-		if _, err := readFrame(bytes.NewReader(seeds[i]), DefaultMaxFrame); err != nil {
+		if _, err := readFrameBytes(bytes.NewReader(seeds[i]), DefaultMaxFrame); err != nil {
 			t.Errorf("valid seed %d rejected: %v", i, err)
 		}
 	}
 	for i, wantCRC := range map[int]bool{6: false, 7: false, 8: false, 9: true, 10: true} {
-		_, err := readFrame(bytes.NewReader(seeds[i]), DefaultMaxFrame)
+		_, err := readFrameBytes(bytes.NewReader(seeds[i]), DefaultMaxFrame)
 		if err == nil {
 			t.Errorf("mutant seed %d accepted", i)
 			continue

@@ -209,7 +209,7 @@ func (g *Shards) execRefresh(shard, block int, forced bool) (pcmlive.Outcome, er
 		g.mu.RUnlock()
 		return pcmlive.RefreshUnwritten, fmt.Errorf("pcmserve: shard %d is dead: %w", shard, ErrShardUnavailable)
 	}
-	done := make(chan shardResult, 1)
+	done := donePool.Get().(chan shardResult)
 	req := shardReq{op: opRefresh, off: int64(block) * core.BlockBytes, enq: time.Now(), done: done}
 	meta := opMeta{class: classBackground}
 	if forced {
@@ -218,9 +218,11 @@ func (g *Shards) execRefresh(shard, block int, forced bool) (pcmlive.Outcome, er
 	err := s.admit(req, meta)
 	g.mu.RUnlock()
 	if err != nil {
+		donePool.Put(done) // refused: the shard never saw it
 		return pcmlive.RefreshUnwritten, err
 	}
 	r := <-done
+	donePool.Put(done)
 	return r.live, r.err
 }
 

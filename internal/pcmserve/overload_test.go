@@ -234,11 +234,11 @@ func TestExpiredDroppedAtDequeue(t *testing.T) {
 
 // TestOverloadWireRoundTrip checks the StatusErr encoding of an
 // admission rejection: code, retry-after hint, and message survive
-// errFrame → decodeWireError, and the rebuilt error keeps its sentinel
+// errResponse → decodeWireError, and the rebuilt error keeps its sentinel
 // identity and transient classification.
 func TestOverloadWireRoundTrip(t *testing.T) {
 	src := &OverloadError{RetryAfter: 7 * time.Millisecond}
-	fr := errFrame(42, src)
+	fr := respBytes(errResponse(42, src))
 	// Frame layout: u32 len, u32 crc, u64 id, u8 status, payload.
 	payload := fr[8+headerBytes:]
 	err := decodeWireError(payload)
@@ -252,7 +252,7 @@ func TestOverloadWireRoundTrip(t *testing.T) {
 		t.Errorf("Classify = %v, want transient", Classify(err))
 	}
 
-	fr = errFrame(43, ErrDeadlineExceeded)
+	fr = respBytes(errResponse(43, ErrDeadlineExceeded))
 	err = decodeWireError(fr[8+headerBytes:])
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("decoded error %v does not unwrap to ErrDeadlineExceeded", err)

@@ -186,16 +186,18 @@ func (sc *scrubber) scrubOne(block int64) {
 		sc.skipped.Inc()
 		return
 	}
-	done := make(chan shardResult, 1)
+	done := donePool.Get().(chan shardResult)
 	err := s.admit(shardReq{op: opScrub, off: off % sc.g.shardSize, enq: time.Now(), done: done},
 		opMeta{class: classBackground})
 	sc.g.mu.RUnlock()
 	if err != nil {
+		donePool.Put(done) // refused: the shard never saw it
 		sc.skipped.Inc()
 		return
 	}
 
 	r := <-done
+	donePool.Put(done)
 	sc.scrubbed.Inc()
 	switch r.scrub {
 	case scrubRepaired:

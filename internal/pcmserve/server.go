@@ -272,6 +272,33 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
+// handler is one in-flight request's state on a connection. Handlers
+// are built lazily up to MaxInflight per connection and recycled through
+// the connection's idle channel, which doubles as the inflight
+// semaphore: taking one admits a request, returning it frees the slot.
+type handler struct {
+	s    *Server
+	out  chan<- response
+	idle chan<- *handler
+	req  request
+	meta opMeta
+	buf  *frameBuf // the request frame's pooled buffer (req.data aliases it)
+	// run is serve bound once at construction, so spawning the request
+	// goroutine does not allocate a closure per request.
+	run func()
+}
+
+// serve executes the request, queues its response, and frees the slot.
+// The request's frame buffer travels with the response — READ reuses it
+// as the destination — and the writer releases it after encoding.
+func (h *handler) serve() {
+	resp := h.s.execute(&h.req, h.meta, h.buf)
+	resp.buf = h.buf
+	h.req, h.buf = request{}, nil
+	h.out <- resp
+	h.idle <- h
+}
+
 // handleConn runs the per-connection reader loop plus a writer
 // goroutine. Responses may be sent out of order; the request id keys
 // them back to callers.
@@ -284,37 +311,37 @@ func (s *Server) handleConn(conn net.Conn) {
 		conn.Close()
 	}()
 
-	out := make(chan []byte, s.cfg.MaxInflight)
+	out := make(chan response, s.cfg.MaxInflight)
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
 	go func() {
 		defer writerWG.Done()
 		bw := bufio.NewWriter(conn)
-		for buf := range out {
+		for resp := range out {
 			if s.cfg.WriteTimeout > 0 {
 				conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 			}
-			if _, err := bw.Write(buf); err != nil {
-				// Keep draining so request handlers never block on a
-				// dead connection's response channel.
-				for range out {
-				}
-				return
-			}
+			err := writeResponse(bw, &resp)
+			resp.release() // encoded (or undeliverable): the buffer's last use
 			// Flush when no more responses are immediately ready:
 			// batches pipelined responses into fewer packets.
-			if len(out) == 0 {
-				if err := bw.Flush(); err != nil {
-					for range out {
-					}
-					return
+			if err == nil && len(out) == 0 {
+				err = bw.Flush()
+			}
+			if err != nil {
+				// Keep draining so request handlers never block on a
+				// dead connection's response channel.
+				for resp := range out {
+					resp.release()
 				}
+				return
 			}
 		}
 		bw.Flush()
 	}()
 
-	inflight := make(chan struct{}, s.cfg.MaxInflight)
+	idle := make(chan *handler, s.cfg.MaxInflight)
+	handlers := 0
 	br := bufio.NewReader(conn)
 	for {
 		// Re-check shutdown every frame: a busy connection can keep
@@ -330,25 +357,27 @@ func (s *Server) handleConn(conn net.Conn) {
 		if s.cfg.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		}
-		buf, err := readFrame(br, s.cfg.MaxFrame)
+		body, fb, err := readFrame(br, s.cfg.MaxFrame)
 		if err != nil {
 			if errors.Is(err, ErrFrameCRC) {
 				s.metrics.frameCRCMismatch.Inc()
 			}
 			break // EOF, CRC mismatch, idle timeout, or shutdown nudge
 		}
-		req, err := parseRequest(buf)
+		req, err := parseRequest(body)
 		if err != nil {
 			// The id parsed (frames shorter than the header are
 			// rejected by readFrame), so the error can be returned
 			// in-band before closing.
-			out <- errFrame(req.id, err)
+			fb.release()
+			out <- errResponse(req.id, err)
 			break
 		}
 		if req.ext && s.cfg.DisableExtHeader {
 			// Byte-for-byte what an old server says to a flagged op:
 			// generic error, then connection close.
-			out <- errFrame(req.id, fmt.Errorf("pcmserve: unknown op %d", req.op|opFlagExt))
+			fb.release()
+			out <- errResponse(req.id, fmt.Errorf("pcmserve: unknown op %d", req.op|opFlagExt))
 			break
 		}
 		// The deadline clock starts at receipt: the µs budget in the
@@ -363,88 +392,116 @@ func (s *Server) handleConn(conn net.Conn) {
 				meta.deadline = time.Now().Add(time.Duration(req.deadlineUs) * time.Microsecond)
 			}
 		}
-		inflight <- struct{}{} // backpressure: cap concurrent handlers
-		go func() {
-			defer func() { <-inflight }()
-			out <- s.execute(req, meta)
-		}()
+		// Backpressure: cap concurrent handlers. A free slot is reused;
+		// below the cap a new one is built; at the cap the reader blocks.
+		var h *handler
+		select {
+		case h = <-idle:
+		default:
+			if handlers < cap(idle) {
+				h = &handler{s: s, out: out, idle: idle}
+				h.run = h.serve
+				handlers++
+			} else {
+				h = <-idle
+			}
+		}
+		h.req, h.meta, h.buf = req, meta, fb
+		go h.run()
 	}
 	// Drain in-flight handlers before closing the response stream.
-	for i := 0; i < cap(inflight); i++ {
-		inflight <- struct{}{}
+	for ; handlers > 0; handlers-- {
+		<-idle
 	}
 	close(out)
 	writerWG.Wait()
 }
 
-// execute runs one request against the sharded device and encodes the
-// response frame.
-func (s *Server) execute(req request, meta opMeta) []byte {
+// execute runs one request against the sharded device and builds its
+// response. buf is the request frame's pooled buffer (nil for an
+// oversized frame), which READ and WRITE reuse for their reply payload.
+func (s *Server) execute(req *request, meta opMeta, buf *frameBuf) response {
 	if !meta.deadline.IsZero() && time.Now().After(meta.deadline) {
 		// The budget was spent waiting on the inflight semaphore; answer
 		// typed without touching a shard queue.
 		s.shards.adm.expired.Inc()
 		s.metrics.errors.Inc()
-		return errFrame(req.id, ErrDeadlineExceeded)
+		return errResponse(req.id, ErrDeadlineExceeded)
 	}
 	switch req.op {
 	case OpRead:
 		if req.n > s.cfg.MaxFrame-headerBytes {
 			err := fmt.Errorf("pcmserve: read length %d exceeds frame limit", req.n)
 			s.metrics.countOp(OpRead, 0, err)
-			return errFrame(req.id, err)
+			return errResponse(req.id, err)
 		}
-		buf := make([]byte, req.n)
-		n, err := s.shards.readAtMeta(meta, buf, req.off)
+		// The request is fully parsed, so its frame buffer is free to
+		// receive the bytes read; only larger reads allocate.
+		var dst []byte
+		if buf != nil && req.n <= frameBufBytes {
+			dst = buf[:req.n]
+		} else {
+			dst = make([]byte, req.n)
+		}
+		n, err := s.shards.readAtMeta(meta, dst, req.off)
 		if err == io.EOF {
 			s.metrics.countOp(OpRead, n, nil)
-			return frame(req.id, StatusEOF, buf[:n])
+			return response{id: req.id, status: StatusEOF, payload: dst[:n]}
 		}
 		s.metrics.countOp(OpRead, n, err)
 		if err != nil {
-			return errFrame(req.id, err)
+			return errResponse(req.id, err)
 		}
-		return frame(req.id, StatusOK, buf[:n])
+		return response{id: req.id, status: StatusOK, payload: dst[:n]}
 	case OpWrite:
 		n, err := s.shards.writeAtMeta(meta, req.data, req.off)
 		s.metrics.countOp(OpWrite, n, err)
 		if err != nil {
-			return errFrame(req.id, err)
+			return errResponse(req.id, err)
 		}
-		return frame(req.id, StatusOK, u32(uint32(n)))
+		// Every shard span has completed, so the payload is dead and the
+		// frame buffer can carry the byte count back.
+		var ack []byte
+		if buf != nil {
+			ack = buf[:4]
+		} else {
+			ack = make([]byte, 4)
+		}
+		binary.BigEndian.PutUint32(ack, uint32(n))
+		return response{id: req.id, status: StatusOK, payload: ack}
 	case OpAdvance:
 		err := s.shards.Advance(req.dt)
 		s.metrics.countOp(OpAdvance, 0, err)
 		if err != nil {
-			return errFrame(req.id, err)
+			return errResponse(req.id, err)
 		}
-		return frame(req.id, StatusOK)
+		return response{id: req.id, status: StatusOK}
 	case OpStats:
 		st := s.Stats()
 		s.metrics.countOp(OpStats, 0, nil)
 		payload, err := json.Marshal(st)
 		if err != nil {
-			return errFrame(req.id, err)
+			return errResponse(req.id, err)
 		}
-		return frame(req.id, StatusOK, payload)
+		return response{id: req.id, status: StatusOK, payload: payload}
 	case OpHashRange:
 		if s.cfg.DisableRangeOps {
 			err := fmt.Errorf("pcmserve: HASH_RANGE disabled: %w", ErrUnsupported)
 			s.metrics.countOp(OpHashRange, 0, err)
-			return errFrame(req.id, err)
+			return errResponse(req.id, err)
 		}
 		return s.hashRange(req, meta)
 	case OpReadStride:
 		if s.cfg.DisableRangeOps {
 			err := fmt.Errorf("pcmserve: READ_STRIDE disabled: %w", ErrUnsupported)
 			s.metrics.countOp(OpReadStride, 0, err)
-			return errFrame(req.id, err)
+			return errResponse(req.id, err)
 		}
 		return s.readStride(req, meta)
 	}
 	err := fmt.Errorf("pcmserve: unknown op %d", req.op)
 	s.metrics.errors.Inc()
-	return errFrame(req.id, err)
+	return errResponse(req.id, err)
 }
 
 // maxRangeBytes bounds the bytes one HASH_RANGE request may digest
@@ -457,18 +514,18 @@ const maxRangeBytes = 16 << 20
 // returns one FNV-1a 64 digest per chunk. A chunk whose bytes cannot
 // be read is flagged unreadable (digest 0) instead of failing the
 // request: the anti-entropy caller treats it as divergent and descends.
-func (s *Server) hashRange(req request, meta opMeta) []byte {
+func (s *Server) hashRange(req *request, meta opMeta) response {
 	if req.recordBytes == 0 || req.count == 0 || req.fanout == 0 {
 		err := fmt.Errorf("pcmserve: HASH_RANGE rec=%d count=%d fanout=%d: all must be positive",
 			req.recordBytes, req.count, req.fanout)
 		s.metrics.countOp(OpHashRange, 0, err)
-		return errFrame(req.id, err)
+		return errResponse(req.id, err)
 	}
 	total := uint64(req.recordBytes) * uint64(req.count)
 	if total > maxRangeBytes {
 		err := fmt.Errorf("pcmserve: HASH_RANGE covers %d bytes, limit %d", total, maxRangeBytes)
 		s.metrics.countOp(OpHashRange, 0, err)
-		return errFrame(req.id, err)
+		return errResponse(req.id, err)
 	}
 	fanout := req.fanout
 	if fanout > req.count {
@@ -480,7 +537,10 @@ func (s *Server) hashRange(req request, meta opMeta) []byte {
 	// Chunk i covers base (+1 for the first rem chunks) records.
 	base, rem := req.count/fanout, req.count%fanout
 	body := make([]byte, 0, 13*fanout)
-	buf := make([]byte, 64<<10)
+	scratch := getFrameBuf()
+	defer scratch.release()
+	buf := scratch[:]
+	h := fnv.New64a()
 	off := req.off
 	hashed := 0
 	for i := uint32(0); i < fanout; i++ {
@@ -489,7 +549,7 @@ func (s *Server) hashRange(req request, meta opMeta) []byte {
 			records++
 		}
 		chunkBytes := int64(records) * int64(req.recordBytes)
-		h := fnv.New64a()
+		h.Reset()
 		flag := uint8(0)
 		for done := int64(0); done < chunkBytes; {
 			n := chunkBytes - done
@@ -517,28 +577,28 @@ func (s *Server) hashRange(req request, meta opMeta) []byte {
 		off += chunkBytes
 	}
 	s.metrics.countOp(OpHashRange, hashed, nil)
-	return frame(req.id, StatusOK, body)
+	return response{id: req.id, status: StatusOK, payload: body}
 }
 
 // readStride reads the first req.recordBytes of req.count records
 // spaced req.stride bytes apart, returning per-record readable flags
 // followed by the concatenated record bytes (unreadable records are
 // zero-filled so offsets stay aligned).
-func (s *Server) readStride(req request, meta opMeta) []byte {
+func (s *Server) readStride(req *request, meta opMeta) response {
 	if req.recordBytes == 0 || req.count == 0 || req.stride < req.recordBytes {
 		err := fmt.Errorf("pcmserve: READ_STRIDE rec=%d count=%d stride=%d: need rec>0, count>0, stride≥rec",
 			req.recordBytes, req.count, req.stride)
 		s.metrics.countOp(OpReadStride, 0, err)
-		return errFrame(req.id, err)
+		return errResponse(req.id, err)
 	}
 	payload := uint64(req.count) + uint64(req.count)*uint64(req.recordBytes)
 	if payload > uint64(s.cfg.MaxFrame)-headerBytes {
 		err := fmt.Errorf("pcmserve: READ_STRIDE reply %d bytes exceeds frame limit", payload)
 		s.metrics.countOp(OpReadStride, 0, err)
-		return errFrame(req.id, err)
+		return errResponse(req.id, err)
 	}
-	flags := make([]byte, req.count)
-	records := make([]byte, uint64(req.count)*uint64(req.recordBytes))
+	reply := make([]byte, payload)
+	flags, records := reply[:req.count], reply[req.count:]
 	moved := 0
 	for i := uint32(0); i < req.count; i++ {
 		dst := records[uint64(i)*uint64(req.recordBytes):][:req.recordBytes]
@@ -552,5 +612,5 @@ func (s *Server) readStride(req request, meta opMeta) []byte {
 		moved += n
 	}
 	s.metrics.countOp(OpReadStride, moved, nil)
-	return frame(req.id, StatusOK, flags, records)
+	return response{id: req.id, status: StatusOK, payload: reply}
 }

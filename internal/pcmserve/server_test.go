@@ -265,16 +265,16 @@ func TestGracefulShutdown(t *testing.T) {
 // TestProtocolRoundTrip fuzzes the codec helpers directly.
 func TestProtocolRoundTrip(t *testing.T) {
 	const trace = 0xDEADBEEFCAFE
-	exts := []*wireExt{nil, {deadlineUs: 2500, class: classBackground}}
+	exts := []wireExt{{}, {ext: true, deadlineUs: 2500, class: classBackground}}
 	for _, ext := range exts {
 		reqs := [][]byte{
-			encodeReadReq(7, trace, ext, 1024, 512),
-			encodeWriteReq(8, trace, ext, 64, []byte("hello pcm")),
-			encodeAdvanceReq(9, trace, ext, 3.5),
-			encodeStatsReq(10, trace, ext),
+			reqBytes(request{id: 7, op: OpRead, trace: trace, wireExt: ext, off: 1024, n: 512}),
+			reqBytes(request{id: 8, op: OpWrite, trace: trace, wireExt: ext, off: 64, data: []byte("hello pcm")}),
+			reqBytes(request{id: 9, op: OpAdvance, trace: trace, wireExt: ext, dt: 3.5}),
+			reqBytes(request{id: 10, op: OpStats, trace: trace, wireExt: ext}),
 		}
 		for i, fr := range reqs {
-			body, err := readFrame(bytes.NewReader(fr), DefaultMaxFrame)
+			body, err := readFrameBytes(bytes.NewReader(fr), DefaultMaxFrame)
 			if err != nil {
 				t.Fatalf("req %d: readFrame: %v", i, err)
 			}
@@ -288,10 +288,10 @@ func TestProtocolRoundTrip(t *testing.T) {
 			if req.trace != trace {
 				t.Errorf("req %d: trace = %#x, want %#x", i, req.trace, uint64(trace))
 			}
-			if req.ext != (ext != nil) {
-				t.Errorf("req %d: ext = %v, want %v", i, req.ext, ext != nil)
+			if req.ext != ext.ext {
+				t.Errorf("req %d: ext = %v, want %v", i, req.ext, ext.ext)
 			}
-			if ext != nil && (req.deadlineUs != ext.deadlineUs || req.class != ext.class) {
+			if ext.ext && (req.deadlineUs != ext.deadlineUs || req.class != ext.class) {
 				t.Errorf("req %d: ext header = (%d, %d), want (%d, %d)",
 					i, req.deadlineUs, req.class, ext.deadlineUs, ext.class)
 			}
@@ -301,8 +301,8 @@ func TestProtocolRoundTrip(t *testing.T) {
 		t.Error("short request parsed")
 	}
 	// Oversized frame rejected before allocation.
-	big := encodeWriteReq(1, 0, nil, 0, make([]byte, 1024))
-	if _, err := readFrame(bytes.NewReader(big), 64); err == nil {
+	big := reqBytes(request{id: 1, op: OpWrite, data: make([]byte, 1024)})
+	if _, err := readFrameBytes(bytes.NewReader(big), 64); err == nil {
 		t.Error("oversized frame accepted")
 	}
 }

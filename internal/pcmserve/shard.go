@@ -136,7 +136,7 @@ type shardReq struct {
 	off   int64   // shard-local byte offset
 	buf   []byte  // read destination / write source
 	dt    float64 // OpAdvance only
-	pos   int     // offset of buf within the caller's buffer
+	idx   int     // index of this span within the caller's request
 	trace uint64  // request trace ID (0 = untraced)
 	enq   time.Time
 	// deadline is the request's absolute expiry; the owner drops the
@@ -151,7 +151,7 @@ type shardReq struct {
 }
 
 type shardResult struct {
-	pos int
+	idx int // echoes shardReq.idx
 	n   int
 	err error
 	// scrub reports the outcome of an opScrub request.
@@ -260,9 +260,13 @@ type shard struct {
 	spareLeft      atomic.Int64
 	blocksRemapped atomic.Int64
 
-	// cur is the request being handled; only the owner goroutine (and
-	// its own recover) touches it, so no lock is needed.
-	cur *shardReq
+	// cur is the request being handled, held by value (a non-nil
+	// cur.done marks one in flight); only the owner goroutine (and its
+	// own recover) touches it, so no lock is needed.
+	cur shardReq
+
+	// scrubBuf is the owner goroutine's block scratch for scrubBlock.
+	scrubBuf [core.BlockBytes]byte
 }
 
 func (s *shard) healthState() Health { return Health(s.health.Load()) }
@@ -476,7 +480,7 @@ func (s *shard) handle(req shardReq) {
 		}
 	}
 	req.done <- shardResult{
-		pos: req.pos, n: n, err: err, scrub: outcome, live: liveOut,
+		idx: req.idx, n: n, err: err, scrub: outcome, live: liveOut,
 		wait: wait, service: service,
 		scrubs: uint32(s.scrubSeq.Load() - req.scrubSeq0),
 	}
@@ -491,7 +495,7 @@ func (s *shard) handle(req shardReq) {
 // content replaced, containing the loss to this block, and is reported
 // for mark-and-spare accounting.
 func (s *shard) scrubBlock(off int64) (scrubOutcome, error) {
-	buf := make([]byte, core.BlockBytes)
+	buf := s.scrubBuf[:]
 	_, rerr := s.dev.ReadAt(buf, off)
 	switch {
 	case rerr == nil:
@@ -502,8 +506,8 @@ func (s *shard) scrubBlock(off int64) (scrubOutcome, error) {
 	case errors.Is(rerr, core.ErrUncorrectable):
 		// The read buffer may hold garbage; rewrite zeros so the block
 		// is usable again (data loss is the caller-visible event).
-		zero := make([]byte, core.BlockBytes)
-		if _, werr := s.dev.WriteAt(zero, off); werr != nil {
+		clear(buf)
+		if _, werr := s.dev.WriteAt(buf, off); werr != nil {
 			return scrubUncorrectable, fmt.Errorf("pcmserve: scrub replace at %d: %w", off, werr)
 		}
 		return scrubUncorrectable, nil
@@ -523,31 +527,30 @@ func (s *shard) runOnce() (panicked bool) {
 			panicked = true
 			s.panics.Add(1)
 			s.dump(fmt.Sprintf("panic: %v", r))
-			if req := s.cur; req != nil {
-				s.cur = nil
+			if req := s.cur; req.done != nil {
+				s.cur = shardReq{}
 				req.done <- shardResult{
-					pos: req.pos,
+					idx: req.idx,
 					err: fmt.Errorf("pcmserve: shard %d panicked: %v: %w", s.index, r, ErrShardUnavailable),
 				}
 			}
 		}
 	}()
 	for req := range s.ch {
-		req := req
 		if !req.deadline.IsZero() && time.Now().After(req.deadline) {
 			// Nobody is waiting anymore: drop at dequeue, counted, never
 			// executed — burning device time on it would steal capacity
 			// from requests that can still meet their deadlines.
 			s.adm.expired.Inc()
 			req.done <- shardResult{
-				pos: req.pos,
+				idx: req.idx,
 				err: fmt.Errorf("pcmserve: shard %d: expired in queue: %w", s.index, ErrDeadlineExceeded),
 			}
 			continue
 		}
-		s.cur = &req
+		s.cur = req
 		s.handle(req)
-		s.cur = nil
+		s.cur = shardReq{}
 	}
 	return false
 }
@@ -569,7 +572,7 @@ func (s *shard) supervise(g *Shards) {
 			// never stranded behind a dead shard.
 			for req := range s.ch {
 				req.done <- shardResult{
-					pos: req.pos,
+					idx: req.idx,
 					err: fmt.Errorf("pcmserve: shard %d dead after %d restarts: %w", s.index, n-1, ErrShardUnavailable),
 				}
 			}
@@ -870,9 +873,15 @@ type span struct {
 	pos, n   int // range within the caller's buffer
 }
 
-// splitSpans cuts [off, off+n) at shard boundaries.
-func (g *Shards) splitSpans(off int64, n int) []span {
-	spans := make([]span, 0, n/int(g.shardSize)+2)
+// inlineSpans is how many spans a request may split into before
+// dispatch leaves its stack-backed arrays and pooled channel for heap
+// allocations. A request crosses a shard boundary only when it
+// straddles one, so block-sized ops have one span and few have more
+// than two.
+const inlineSpans = 4
+
+// splitSpans cuts [off, off+n) at shard boundaries, appending to spans.
+func (g *Shards) splitSpans(spans []span, off int64, n int) []span {
 	for pos := 0; pos < n; {
 		abs := off + int64(pos)
 		localOff := abs % g.shardSize
@@ -886,11 +895,17 @@ func (g *Shards) splitSpans(off int64, n int) []span {
 	return spans
 }
 
+// donePool recycles the reply channels shard requests complete on
+// (capacity inlineSpans, so an owner's send never blocks). A channel
+// returns to the pool only after its taker has received every result it
+// enqueued for — from then on no shard holds it.
+var donePool = sync.Pool{New: func() any { return make(chan shardResult, inlineSpans) }}
+
 // deadResult synthesizes the fast-fail reply for a span whose shard is
 // dead, without touching its queue.
-func deadResult(index int, pos int) shardResult {
+func deadResult(index, idx int) shardResult {
 	return shardResult{
-		pos: pos,
+		idx: idx,
 		err: fmt.Errorf("pcmserve: shard %d is dead: %w", index, ErrShardUnavailable),
 	}
 }
@@ -907,42 +922,58 @@ func deadResult(index int, pos int) shardResult {
 // assembles the span details into a Trace observed by the trace log.
 func (g *Shards) dispatch(op uint8, p []byte, off int64, meta opMeta) (int, error) {
 	t0 := time.Now()
-	spans := g.splitSpans(off, len(p))
+	var spanArr [inlineSpans]span
+	spans := g.splitSpans(spanArr[:0], off, len(p))
+	var resultArr [inlineSpans]shardResult
+	var results []shardResult
+	var done chan shardResult
+	pooled := len(spans) <= inlineSpans
+	if pooled {
+		results = resultArr[:len(spans)]
+		done = donePool.Get().(chan shardResult)
+	} else {
+		results = make([]shardResult, len(spans))
+		done = make(chan shardResult, len(spans))
+	}
 	g.mu.RLock()
 	if g.closed {
 		g.mu.RUnlock()
+		if pooled {
+			donePool.Put(done) // nothing was enqueued on it
+		}
 		return 0, ErrClosed
 	}
-	done := make(chan shardResult, len(spans))
-	for _, sp := range spans {
+	for i, sp := range spans {
 		s := g.shards[sp.shard]
 		if s.healthState() == Dead {
-			done <- deadResult(s.index, sp.pos)
+			done <- deadResult(s.index, i)
 			continue
 		}
 		req := shardReq{
-			op: op, off: sp.localOff, buf: p[sp.pos : sp.pos+sp.n], pos: sp.pos,
+			op: op, off: sp.localOff, buf: p[sp.pos : sp.pos+sp.n], idx: i,
 			trace: meta.trace, enq: t0, deadline: meta.deadline,
 			scrubSeq0: s.scrubSeq.Load(),
 			done:      done,
 		}
 		if err := s.admit(req, meta); err != nil {
-			done <- shardResult{pos: sp.pos, err: err}
+			done <- shardResult{idx: i, err: err}
 		}
 	}
 	g.mu.RUnlock()
 
-	// Reassemble: spans complete out of order; report the contiguous
-	// prefix and the first error in address order.
-	byPos := make(map[int]shardResult, len(spans))
+	// Reassemble: spans complete out of order; file each result under
+	// its span index, then report the contiguous prefix and the first
+	// error in address order.
 	for range spans {
 		r := <-done
-		byPos[r.pos] = r
+		results[r.idx] = r
+	}
+	if pooled {
+		donePool.Put(done) // every enqueued span has answered
 	}
 	n := 0
 	var firstErr error
-	for _, sp := range spans {
-		r := byPos[sp.pos]
+	for _, r := range results {
 		if firstErr == nil {
 			n += r.n
 			if r.err != nil {
@@ -950,13 +981,13 @@ func (g *Shards) dispatch(op uint8, p []byte, off int64, meta opMeta) (int, erro
 			}
 		}
 	}
-	g.observeTrace(meta.trace, op, off, len(p), t0, spans, byPos)
+	g.observeTrace(meta.trace, op, off, len(p), t0, spans, results)
 	return n, firstErr
 }
 
 // observeTrace assembles one request's span records and hands them to
 // the trace log.
-func (g *Shards) observeTrace(trace uint64, op uint8, off int64, n int, t0 time.Time, spans []span, byPos map[int]shardResult) {
+func (g *Shards) observeTrace(trace uint64, op uint8, off int64, n int, t0 time.Time, spans []span, results []shardResult) {
 	if trace == 0 {
 		return
 	}
@@ -969,8 +1000,8 @@ func (g *Shards) observeTrace(trace uint64, op uint8, off int64, n int, t0 time.
 		Total:  time.Since(t0),
 		Spans:  make([]obs.Span, 0, len(spans)),
 	}
-	for _, sp := range spans {
-		r := byPos[sp.pos]
+	for i, sp := range spans {
+		r := results[i]
 		errClass := ""
 		if r.err != nil {
 			errClass = Classify(r.err).String()
